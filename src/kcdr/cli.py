@@ -308,6 +308,7 @@ def _cmd_sweep(args) -> int:
         alpha=args.alpha,
         map_seeds=tuple(range(args.map_seeds)),
         prefer=args.prefer,
+        constraint=_constraint_from_args(args),
     )
     summary = run_dimred_sweep(config)
     if args.csv:
@@ -474,6 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--map-seeds", type=int, default=5)
     p.add_argument("--prefer", choices=("auto", "exact", "greedy"), default="auto")
+    _add_constraint_flags(p)
     p.add_argument("--csv", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

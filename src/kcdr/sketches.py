@@ -7,6 +7,7 @@ equal field by field regardless of arrival order.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,21 +127,26 @@ class CellSketch:
         return 3 * len(self.buckets)
 
     def decode(self) -> dict[int, int] | None:
+        """Queue peel: O(buckets + peels * rows) one-sparse tests.
+
+        The queue starts with every bucket in sorted key order; a peel
+        re-queues only the buckets it changed.  The one-sparse test is exact,
+        so on a nonneg vector the result does not depend on peel order.
+        """
         work = {k: b.copy() for k, b in self.buckets.items()}
         out: dict[int, int] = {}
-        max_rounds = 4 * len(work) + 8
-        for _ in range(max_rounds):
-            if not work:
-                return out
-            peeled = None
-            for key in sorted(work):
-                got = work[key].decode()
-                if got is not None:
-                    peeled = got
-                    break
-            if peeled is None:
+        peels_left = 4 * len(work) + 8
+        queue = deque(sorted(work))
+        while queue and work:
+            key = queue.popleft()
+            b = work.get(key)
+            got = None if b is None else b.decode()
+            if got is None:
+                continue
+            if not peels_left:
                 return None
-            item_id, w = peeled
+            peels_left -= 1
+            item_id, w = got
             out[item_id] = out.get(item_id, 0) + w
             for r in range(self.rows):
                 key = self._bucket_key(r, item_id)
@@ -149,7 +155,9 @@ class CellSketch:
                     b.update(item_id, -w)
                     if b.is_zero():
                         del work[key]
-        return None
+                    else:
+                        queue.append(key)
+        return None if work else out
 
 
 @dataclass

@@ -22,6 +22,9 @@ from .geometry import PointSet, pairwise_distances
 
 COMBINATION_BUDGET = 10**6
 ENUMERATION_MAX_POINTS = 12
+# Element cap on the oracles' per-call distance blocks (float64, 512 KiB).
+_BLOCK_ELEMS = 1 << 16
+_INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,72 @@ def _check_budget(m: int, k: int):
         )
 
 
+def _unit_value(block: np.ndarray, mult: np.ndarray, z: int) -> np.ndarray:
+    """Per (prefix, last) row of a (prefixes, lasts, points) distance block,
+    the (z+1)-th largest weight unit over the points.
+
+    Extracts the furthest remaining point z+1 times (fewer when there are
+    fewer points); the unit sought always lies among those, because every
+    point carries at least one unit.  Ties among points do not matter: only
+    the distance of the unit is returned.  Overwrites block.
+    """
+    if z == 0:
+        return block.max(axis=2)
+    n = block.shape[2]
+    rows = block.reshape(-1, n)
+    base = np.arange(len(rows)) * n
+    flat = rows.reshape(-1)
+    out = np.empty(len(rows))
+    seen = np.zeros(len(rows), dtype=np.int64)
+    for _ in range(min(z + 1, n)):
+        r = rows.argmax(axis=1)
+        at = base + r
+        after = seen + mult[r]
+        hit = (seen <= z) & (after > z)
+        out[hit] = flat[at[hit]]
+        seen = after
+        flat[at] = -np.inf
+    return out.reshape(block.shape[:2])
+
+
+def _best_subset(dmat: np.ndarray, mult: np.ndarray, k: int, z: int) -> tuple[float, tuple[int, ...]]:
+    """Lexicographically first k-subset of dmat's columns minimising the
+    (z+1)-th largest weight unit of the rows' distance to the subset.
+
+    Scores a chunk of (k-1)-prefixes against every later last column per
+    numpy call, so temporaries stay near _BLOCK_ELEMS elements.  Every value
+    is an element of dmat, so it equals the per-subset enumeration's exactly;
+    a row-major argmin inside a chunk and a strict < across chunks keep its
+    tie-break.  Requires 1 <= k <= columns and z < total weight.
+    """
+    n, m = dmat.shape
+    cols = np.ascontiguousarray(dmat.T)
+    per_chunk = max(1, _BLOCK_ELEMS // (n * m))
+    width = max(1, _BLOCK_ELEMS // (per_chunk * n))
+    prefixes = itertools.combinations(range(m - 1), k - 1)
+    best_val = math.inf
+    best: tuple[int, ...] | None = None
+    while True:
+        pref = np.array(list(itertools.islice(prefixes, per_chunk)), dtype=np.intp)
+        if len(pref) == 0:
+            break
+        prefix_min = cols[pref].min(axis=1, initial=np.inf)[:, None, :]
+        ends = pref[:, -1] if k > 1 else np.full(len(pref), -1)
+        lo = int(ends.min()) + 1
+        vals = np.empty((len(pref), m - lo))
+        for c in range(lo, m, width):
+            block = np.minimum(prefix_min, cols[None, c : c + width])
+            vals[:, c - lo : c - lo + block.shape[1]] = _unit_value(block, mult, z)
+        vals[ends[:, None] >= np.arange(lo, m)] = np.inf
+        i = int(vals.argmin())
+        if vals.flat[i] < best_val:
+            p, j = divmod(i, vals.shape[1])
+            best_val = float(vals.flat[i])
+            best = (*pref[p].tolist(), lo + j)
+    assert best is not None
+    return best_val, best
+
+
 def exact_discrete_kcenter(ps: PointSet, k: int) -> KCenterSolution:
     """Brute-force optimum over k-subsets of distinct points.
 
@@ -161,14 +230,7 @@ def exact_discrete_kcenter(ps: PointSet, k: int) -> KCenterSolution:
         return KCenterSolution(tuple(int(i) for i in idx), 0.0)
     _check_budget(m, k)
     dmat = pairwise_distances(ps.coords, locs)
-    best_val = math.inf
-    best: tuple[int, ...] | None = None
-    for combo in itertools.combinations(range(m), k):
-        val = float(dmat[:, combo].min(axis=1).max())
-        if val < best_val:
-            best_val = val
-            best = combo
-    assert best is not None
+    best_val, best = _best_subset(dmat, ps.multiplicity, k, 0)
     return KCenterSolution(tuple(int(idx[c]) for c in best), best_val)
 
 
@@ -200,15 +262,7 @@ def exact_discrete_outliers(ps: PointSet, k: int, z: int) -> OutliersSolution:
     kk = min(k, m)
     _check_budget(m, kk)
     dmat = pairwise_distances(ps.coords, locs)
-    best_val = math.inf
-    best: tuple[int, ...] | None = None
-    for combo in itertools.combinations(range(m), kk):
-        d = dmat[:, combo].min(axis=1)
-        val, _ = _outlier_split(d, ps.multiplicity, z)
-        if val < best_val:
-            best_val = val
-            best = combo
-    assert best is not None
+    best_val, best = _best_subset(dmat, ps.multiplicity, kk, z)
     d = dmat[:, best].min(axis=1)
     _, dropped = _outlier_split(d, ps.multiplicity, z)
     return OutliersSolution(
@@ -337,6 +391,12 @@ def _route(mask: np.ndarray, supply: np.ndarray, lower: int, upper: int) -> np.n
         return np.zeros((np_, nc), dtype=np.int64)
     if upper < lower or total > nc * upper or total < nc * lower:
         return None
+    # maximum_flow takes int32 capacities; int64 ones wrap silently.
+    if total + nc * lower > _INT32_MAX or upper - lower > _INT32_MAX:
+        raise ValueError(
+            f"flow network exceeds int32: {total} units, {nc} centers, "
+            f"loads {lower}..{upper}"
+        )
     SS, TT, S, T = 0, 1, 2, 3
     pts = 4
     ctr = 4 + np_

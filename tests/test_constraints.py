@@ -90,6 +90,21 @@ class TestFeasibleAssignment:
             if feasible_assignment(ps, [0, 1], r, cons) is not None:
                 assert feasible_assignment(ps, [0, 1], r + 1.0, cons) is not None
 
+    @pytest.mark.parametrize(
+        "mult, capacity",
+        [
+            ([2_000_000_000, 2_000_000_000], 2_000_000_000),  # total supply
+            ([3_000_000_000, 1], 3_000_000_000),  # one point's supply
+            ([1, 1], 3_000_000_000),  # the load cap alone
+        ],
+    )
+    def test_int32_edge_is_a_domain_error(self, mult, capacity):
+        # maximum_flow wraps capacities above int32, so these must not reach it
+        ps = point_set([[0.0], [1.0]], multiplicity=mult)
+        cons = AssignmentConstraint(kind="capacitated", capacity=capacity)
+        with pytest.raises(ValueError, match="int32"):
+            feasible_assignment(ps, [0, 1], 1.0, cons)
+
     def test_agrees_with_enumeration(self):
         for seed in range(30):
             rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

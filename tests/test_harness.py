@@ -290,6 +290,14 @@ class TestCliSolve:
         assert code == 0
         assert json.loads(stdout)["feasible"] is True
 
+    def test_capacity_above_int32_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "solve", "--in", line_file(tmp_path), "--alg", "feasible",
+            "--k", "2", "--capacity", "3000000000", "--centers", "0,1", "--radius", "5.0",
+        )
+        assert code == 2
+        assert "int32" in err
+
     def test_exact_constrained_capacitated(self, capsys, tmp_path):
         src = tmp_path / "four.txt"
         write_pointset_text(point_set([[0.0], [1.0], [10.0], [11.0]]), str(src))
@@ -362,6 +370,16 @@ class TestCliProbeAndSweep:
         assert payload["n_records"] == 2
         assert payload["median_ratio"] > 0.0
         assert csv_path.read_text().splitlines()[1] == CSV_HEADER
+
+    def test_constrained_sweep(self, capsys):
+        argv = ("sweep", "--dim", "5", "--n", "20", "--k", "2", "--map-seeds", "2",
+                "--variant", "constrained")
+        code, stdout, _ = run_cli(capsys, *argv, "--capacity", "15")
+        assert code == 0
+        assert json.loads(stdout)["median_ratio"] > 0.0
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "needs a constraint" in err
 
     def test_lowerbound(self, capsys):
         code, stdout, _ = run_cli(

@@ -121,6 +121,57 @@ class TestCellSketch:
             assert got == truth
 
 
+def _ref_decode(sk):
+    """Reference peel: every round rescans the sorted residual buckets and
+    peels the first decodable one."""
+    work = {k: b.copy() for k, b in sk.buckets.items()}
+    out = {}
+    for _ in range(4 * len(work) + 8):
+        if not work:
+            return out
+        got = next((g for g in (work[k].decode() for k in sorted(work)) if g is not None), None)
+        if got is None:
+            return None
+        item_id, w = got
+        out[item_id] = out.get(item_id, 0) + w
+        for r in range(sk.rows):
+            key = sk._bucket_key(r, item_id)
+            if key in work:
+                work[key].update(item_id, -w)
+                if work[key].is_zero():
+                    del work[key]
+    return None
+
+
+class TestQueuePeelMatchesRescan:
+    def test_random_sketches(self):
+        gen = rng_for(40)
+        outcomes = set()
+        for seed in range(400):
+            sk = CellSketch.build(
+                rows=int(gen.integers(2, 5)), width=int(gen.integers(4, 65)), rng=rng_for(seed)
+            )
+            for _ in range(int(gen.integers(0, 80))):
+                sk.update(int(gen.integers(0, 300)), int(gen.integers(1, 4)))
+            for _ in range(int(gen.integers(0, 20))):  # inserted, then cancelled
+                item = int(gen.integers(300, 600))
+                sk.update(item, 2)
+                sk.update(item, -2)
+            want = _ref_decode(sk)
+            assert sk.decode() == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}  # both dense failures and full recoveries
+
+    def test_delete_of_absent_item_terminates(self):
+        for seed in range(50):
+            sk = CellSketch.build(rows=3, width=16, rng=rng_for(seed))
+            for item in range(6):
+                sk.update(item, 1)
+            sk.update(1000 + seed, -1)
+            assert sk.decode() is None
+            assert _ref_decode(sk) is None
+
+
 class TestTwoLevelSampler:
     def build(self, seed=0, rows=3, width=32, levels=6, space=10_000):
         return TwoLevelSampler.build(rows, width, levels, space, rng_for(seed))

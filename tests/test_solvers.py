@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from kcdr import solvers
 from kcdr.errors import OracleBudgetError
 from kcdr.geometry import DatasetSpec, generate_dataset, pairwise_distances, point_set
 from kcdr.solvers import (
@@ -212,3 +213,96 @@ class TestPeelWitness:
             full = exact_discrete_outliers(ps, k, z).value
             wit = exact_discrete_outliers(peel_witness(ps, k, z), k, z).value
             assert wit >= full / 3.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Per-subset reference enumerators: the oracles' definition, one numpy call
+# per k-subset.  The batched oracles must match them exactly.
+
+
+def _ref_kcenter(ps, k):
+    idx = ps.distinct_indices()
+    m = len(idx)
+    if k >= m:
+        return tuple(int(i) for i in idx), 0.0
+    dmat = pairwise_distances(ps.coords, ps.coords[idx])
+    best_val, best = float("inf"), None
+    for combo in itertools.combinations(range(m), k):
+        val = float(dmat[:, combo].min(axis=1).max())
+        if val < best_val:
+            best_val, best = val, combo
+    return tuple(int(idx[c]) for c in best), best_val
+
+
+def _ref_split(dists, mult, z):
+    rep_d = np.repeat(dists, mult)
+    rep_i = np.repeat(np.arange(len(dists)), mult)
+    order = np.lexsort((rep_i, -rep_d))
+    value = float(rep_d[order[z]]) if z < len(rep_d) else 0.0
+    return value, tuple(int(i) for i in rep_i[order[:z]])
+
+
+def _ref_outliers(ps, k, z):
+    if z >= ps.total_weight:
+        return (), tuple(int(i) for i in np.repeat(np.arange(ps.n), ps.multiplicity)), 0.0
+    idx = ps.distinct_indices()
+    m = len(idx)
+    dmat = pairwise_distances(ps.coords, ps.coords[idx])
+    best_val, best = float("inf"), None
+    for combo in itertools.combinations(range(m), min(k, m)):
+        val, _ = _ref_split(dmat[:, combo].min(axis=1), ps.multiplicity, z)
+        if val < best_val:
+            best_val, best = val, combo
+    _, dropped = _ref_split(dmat[:, best].min(axis=1), ps.multiplicity, z)
+    return tuple(int(idx[c]) for c in best), dropped, best_val
+
+
+def _assert_oracles_match_reference(ps, k, z):
+    kc = exact_discrete_kcenter(ps, k)
+    assert (kc.center_indices, kc.value) == _ref_kcenter(ps, k)
+    out = exact_discrete_outliers(ps, k, z)
+    assert (out.center_indices, out.outlier_indices, out.value) == _ref_outliers(ps, k, z)
+
+
+class TestBatchedOraclesMatchEnumeration:
+    # Smaller block caps cut these small instances into chunks whose
+    # prefixes change head mid-chunk (128) or into one prefix per chunk and
+    # a few columns per block (16), so every chunking path runs.
+    @pytest.mark.parametrize("block_elems", [solvers._BLOCK_ELEMS, 128, 16])
+    def test_tie_heavy_instances(self, block_elems, monkeypatch):
+        # Integer coordinates in 0..4 make equal distances and co-located
+        # points common, so the lexicographic tie-break is exercised.
+        monkeypatch.setattr(solvers, "_BLOCK_ELEMS", block_elems)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(23)))
+        seen = set()
+        for _ in range(2000):
+            n = int(rng.integers(1, 13))
+            ps = point_set(
+                rng.integers(0, 5, size=(n, int(rng.integers(1, 3)))).astype(float),
+                multiplicity=rng.integers(1, 4, size=n),
+            )
+            k = int(rng.integers(1, 6))
+            z = int(rng.integers(0, 6))
+            m = len(ps.distinct_indices())
+            seen.update(
+                name
+                for name, hit in (
+                    ("k=1", k == 1),
+                    ("k>=m", k >= m),
+                    ("z>=W", z >= ps.total_weight),
+                    ("z+1>n", z < ps.total_weight and z + 1 > n),
+                )
+                if hit
+            )
+            _assert_oracles_match_reference(ps, k, z)
+        assert seen == {"k=1", "k>=m", "z>=W", "z+1>n"}
+
+    def test_wide_prefixes(self):
+        # k=8 over 18 locations: C(18,7) prefixes, the sweep-greedy witness shape.
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(24)))
+        i = np.arange(18)
+        ps = point_set(
+            np.column_stack([i % 5, i // 5, rng.integers(0, 5, size=18)]).astype(float),
+            multiplicity=rng.integers(1, 4, size=18),
+        )
+        _assert_oracles_match_reference(ps, 8, 2)
