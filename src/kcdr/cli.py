@@ -46,7 +46,6 @@ from .harness import (
     ExperimentConfig,
     run_dimred_sweep,
     run_lowerbound_demo,
-    run_solver_bench,
     run_streaming_demo,
     write_json,
     write_records_csv,
@@ -346,19 +345,6 @@ def _cmd_stream_demo(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    report = run_solver_bench(n_instances=args.instances, seed=args.seed)
-    if args.csv:
-        rows = [
-            {"check": name, **c} for name, c in report["checks"].items()
-        ]
-        write_records_csv(
-            args.csv, rows, {"n_instances": args.instances, "seed": args.seed}
-        )
-    _emit(report, args.out)
-    return 0
-
-
 def _add_constraint_flags(p):
     p.add_argument("--capacity", type=int, default=None, help="per-center load cap")
     p.add_argument(
@@ -503,13 +489,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_stream_demo)
-
-    p = sub.add_parser("bench", help="solver invariant sweep on random instances")
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

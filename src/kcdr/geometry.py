@@ -14,6 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
+# estimate_doubling_dimension builds an m x m distance matrix over the
+# distinct locations: 200 MB of float64 at this cap.
+DOUBLING_MAX_POINTS = 5_000
 
 @dataclass(frozen=True)
 class PointSet:
@@ -93,16 +96,6 @@ def point_set(points, multiplicity=None, color=None) -> PointSet:
     return PointSet(coords, multiplicity, color)
 
 
-def dist_to_set(p, centers: PointSet) -> float:
-    """Euclidean distance from p to the nearest point of a nonempty PointSet."""
-    if centers.n == 0:
-        raise ValueError("empty center set")
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.shape[0] != centers.dim:
-        raise ValueError("dimension mismatch between point and center set")
-    return float(np.min(np.linalg.norm(centers.coords - p, axis=1)))
-
-
 def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Distance matrix between rows of a and rows of b (or a itself)."""
     return cdist(a, a if b is None else b)
@@ -138,11 +131,17 @@ def estimate_doubling_dimension(ps: PointSet) -> float:
     pairwise distance; for each radius r and each point y of an r-net, counts
     the greedy (r/2)-net of the ball B(y, r) and returns log2 of the largest
     count seen.  Greedy nets over-cover, so this never underestimates the
-    metric's true doubling dimension on the sampled scales.
+    metric's true doubling dimension on the sampled scales.  Refuses more
+    than DOUBLING_MAX_POINTS distinct locations with ValueError.
     """
     distinct = ps.distinct_indices()
     if len(distinct) < 2:
         raise ValueError("degenerate set: need at least two distinct points")
+    if len(distinct) > DOUBLING_MAX_POINTS:
+        raise ValueError(
+            f"doubling-dimension estimate limited to {DOUBLING_MAX_POINTS} "
+            f"distinct points, got {len(distinct)}"
+        )
     locs = ps.subset(distinct)
     dmat = pairwise_distances(locs.coords)
     nonzero = dmat[dmat > 0]

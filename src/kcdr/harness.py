@@ -1,11 +1,10 @@
 """Experiment drivers: dimension-reduction sweeps, lower-bound probes,
-streaming round trips, and solver benchmarks, with CSV/JSON output."""
+and streaming round trips, with CSV/JSON output."""
 from __future__ import annotations
 
 import csv
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ from .geometry import (
     PointSet,
     estimate_doubling_dimension,
     generate_dataset,
-    pairwise_distances,
-    point_set,
 )
 from .solvers import (
     AssignmentConstraint,
@@ -35,8 +32,6 @@ from .solvers import (
     exact_constrained,
     exact_discrete_kcenter,
     exact_discrete_outliers,
-    feasible_assignment,
-    feasible_assignment_bruteforce,
     gonzalez,
     peel_witness,
 )
@@ -342,96 +337,6 @@ def run_streaming_demo(
             "point_in_stream": got[1] in survivor_set,
         }
     return out
-
-
-def run_solver_bench(n_instances: int = 200, seed: int = 0) -> dict:
-    """Run the solver invariant suite over seeded random small instances.
-
-    Violations are counted rather than raised so one bad instance cannot hide
-    another.  Everything except "seconds" is a pure function of
-    (n_instances, seed).
-    """
-    t0 = time.perf_counter()
-    report: dict = {
-        "n_instances": n_instances,
-        "seed": seed,
-        "checks": {},
-        "violations": 0,
-    }
-    if n_instances > 0:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        names = (
-            "greedy_factor_two",
-            "greedy_picks_spread",
-            "outlier_witness_floor",
-            "outlier_witness_size",
-            "flow_vs_enumeration_capacitated",
-            "flow_vs_enumeration_fair",
-        )
-        counts = {name: [0, 0] for name in names}
-
-        def record(name: str, ok: bool):
-            counts[name][0 if ok else 1] += 1
-
-        for _ in range(n_instances):
-            n = int(rng.integers(4, 9))
-            k = int(rng.integers(1, 3))
-            d = int(rng.integers(1, 4))
-            z = int(rng.integers(0, 3))
-            ps = point_set(
-                rng.normal(size=(n, d)) * 3.0,
-                color=rng.integers(1, 3, size=n),
-            )
-            run = gonzalez(ps, k, 0)
-            exact = exact_discrete_kcenter(ps, k)
-            record(
-                "greedy_factor_two",
-                run.solution.value <= 2.0 * exact.value + 1e-9,
-            )
-            if len(run.S) >= 2:
-                dm = pairwise_distances(ps.coords[run.S])
-                iu = np.triu_indices(len(run.S), k=1)
-                spread = float(dm[iu].min())
-            else:
-                spread = 0.0
-            record("greedy_picks_spread", spread >= run.solution.value - 1e-9)
-            wit = peel_witness(ps, k, z)
-            full = exact_discrete_outliers(ps, k, z)
-            sub = exact_discrete_outliers(wit, k, z)
-            record(
-                "outlier_witness_floor", sub.value >= full.value / 3.0 - 1e-9
-            )
-            want = min(int(ps.total_weight), (k + 1) * (z + 1))
-            record("outlier_witness_size", int(wit.total_weight) == want)
-            anchors = list(range(k))
-            radius = float(rng.uniform(0.5, 4.0))
-            for name, cons in (
-                (
-                    "flow_vs_enumeration_capacitated",
-                    AssignmentConstraint(
-                        kind="capacitated",
-                        capacity=int(math.ceil(n / k)) + int(rng.integers(0, 2)),
-                    ),
-                ),
-                (
-                    "flow_vs_enumeration_fair",
-                    AssignmentConstraint(
-                        kind="fair",
-                        lower_frac=0.25,
-                        upper_frac=1.0,
-                        num_colors=2,
-                    ),
-                ),
-            ):
-                flow = feasible_assignment(ps, anchors, radius, cons)
-                enum = feasible_assignment_bruteforce(ps, anchors, radius, cons)
-                record(name, (flow is None) == (enum is None))
-        report["checks"] = {
-            name: {"pass": p, "fail": f} for name, (p, f) in counts.items()
-        }
-        report["violations"] = int(sum(f for _, f in counts.values()))
-    report["seconds"] = time.perf_counter() - t0
-    return report
 
 
 def _plain(obj):

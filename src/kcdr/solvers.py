@@ -178,6 +178,27 @@ def _unit_value(block: np.ndarray, mult: np.ndarray, z: int) -> np.ndarray:
     return out.reshape(block.shape[:2])
 
 
+def _chunk_sizes(n: int, m: int) -> tuple[int, int]:
+    """Prefixes per chunk and last columns per block, so that a (prefixes,
+    lasts, n) distance block stays near _BLOCK_ELEMS elements."""
+    per_chunk = max(1, _BLOCK_ELEMS // (n * m))
+    return per_chunk, max(1, _BLOCK_ELEMS // (per_chunk * n))
+
+
+def _extension_values(
+    cols: np.ndarray, pref: np.ndarray, lo: int, width: int, mult: np.ndarray, z: int
+) -> np.ndarray:
+    """(prefixes, m - lo) values of every prefix row of pref extended by each
+    last column lo..m-1 of cols (m locations x n points)."""
+    m = cols.shape[0]
+    prefix_min = cols[pref].min(axis=1, initial=np.inf)[:, None, :]
+    vals = np.empty((len(pref), m - lo))
+    for c in range(lo, m, width):
+        block = np.minimum(prefix_min, cols[None, c : c + width])
+        vals[:, c - lo : c - lo + block.shape[1]] = _unit_value(block, mult, z)
+    return vals
+
+
 def _best_subset(dmat: np.ndarray, mult: np.ndarray, k: int, z: int) -> tuple[float, tuple[int, ...]]:
     """Lexicographically first k-subset of dmat's columns minimising the
     (z+1)-th largest weight unit of the rows' distance to the subset.
@@ -190,8 +211,7 @@ def _best_subset(dmat: np.ndarray, mult: np.ndarray, k: int, z: int) -> tuple[fl
     """
     n, m = dmat.shape
     cols = np.ascontiguousarray(dmat.T)
-    per_chunk = max(1, _BLOCK_ELEMS // (n * m))
-    width = max(1, _BLOCK_ELEMS // (per_chunk * n))
+    per_chunk, width = _chunk_sizes(n, m)
     prefixes = itertools.combinations(range(m - 1), k - 1)
     best_val = math.inf
     best: tuple[int, ...] | None = None
@@ -199,13 +219,9 @@ def _best_subset(dmat: np.ndarray, mult: np.ndarray, k: int, z: int) -> tuple[fl
         pref = np.array(list(itertools.islice(prefixes, per_chunk)), dtype=np.intp)
         if len(pref) == 0:
             break
-        prefix_min = cols[pref].min(axis=1, initial=np.inf)[:, None, :]
         ends = pref[:, -1] if k > 1 else np.full(len(pref), -1)
         lo = int(ends.min()) + 1
-        vals = np.empty((len(pref), m - lo))
-        for c in range(lo, m, width):
-            block = np.minimum(prefix_min, cols[None, c : c + width])
-            vals[:, c - lo : c - lo + block.shape[1]] = _unit_value(block, mult, z)
+        vals = _extension_values(cols, pref, lo, width, mult, z)
         vals[ends[:, None] >= np.arange(lo, m)] = np.inf
         i = int(vals.argmin())
         if vals.flat[i] < best_val:
@@ -214,6 +230,20 @@ def _best_subset(dmat: np.ndarray, mult: np.ndarray, k: int, z: int) -> tuple[fl
             best = (*pref[p].tolist(), lo + j)
     assert best is not None
     return best_val, best
+
+
+def _best_single(ps: PointSet, locs: np.ndarray, z: int) -> tuple[float, tuple[int]]:
+    """_best_subset at k=1 without the n x m matrix: distances come in blocks
+    of about _BLOCK_ELEMS elements, the first minimal location wins."""
+    width = max(1, _BLOCK_ELEMS // ps.n)
+    best_val, best = math.inf, -1
+    for c in range(0, len(locs), width):
+        block = np.ascontiguousarray(pairwise_distances(ps.coords, locs[c : c + width]).T)[None]
+        vals = _unit_value(block, ps.multiplicity, z)[0]
+        i = int(vals.argmin())
+        if vals[i] < best_val:
+            best_val, best = float(vals[i]), c + i
+    return best_val, (best,)
 
 
 def exact_discrete_kcenter(ps: PointSet, k: int) -> KCenterSolution:
@@ -229,8 +259,11 @@ def exact_discrete_kcenter(ps: PointSet, k: int) -> KCenterSolution:
     if k >= m:
         return KCenterSolution(tuple(int(i) for i in idx), 0.0)
     _check_budget(m, k)
-    dmat = pairwise_distances(ps.coords, locs)
-    best_val, best = _best_subset(dmat, ps.multiplicity, k, 0)
+    if k == 1:
+        best_val, best = _best_single(ps, locs, 0)
+    else:
+        dmat = pairwise_distances(ps.coords, locs)
+        best_val, best = _best_subset(dmat, ps.multiplicity, k, 0)
     return KCenterSolution(tuple(int(idx[c]) for c in best), best_val)
 
 
@@ -261,9 +294,13 @@ def exact_discrete_outliers(ps: PointSet, k: int, z: int) -> OutliersSolution:
     m = len(idx)
     kk = min(k, m)
     _check_budget(m, kk)
-    dmat = pairwise_distances(ps.coords, locs)
-    best_val, best = _best_subset(dmat, ps.multiplicity, kk, z)
-    d = dmat[:, best].min(axis=1)
+    if kk == 1:
+        best_val, best = _best_single(ps, locs, z)
+        d = pairwise_distances(ps.coords, locs[list(best)])[:, 0]
+    else:
+        dmat = pairwise_distances(ps.coords, locs)
+        best_val, best = _best_subset(dmat, ps.multiplicity, kk, z)
+        d = dmat[:, best].min(axis=1)
     _, dropped = _outlier_split(d, ps.multiplicity, z)
     return OutliersSolution(
         tuple(int(idx[c]) for c in best),
@@ -377,6 +414,42 @@ class AssignmentConstraint:
         }
 
 
+def _flow_network(mask: np.ndarray, supply: np.ndarray, lower: int, upper: int) -> csr_matrix:
+    """Capacity graph of _route: node 0 is the super-source, 1 the
+    super-sink, 2 the source S, 3 the sink T, then one node per point and
+    one per center.
+
+    The edges come in the row-major order that csr_matrix gives the dense
+    capacity matrix, zero capacities dropped, so this is that same CSR
+    graph; it has at most n*k + n + 2k + 3 edges.
+    """
+    SS, TT, S, T = 0, 1, 2, 3
+    np_, nc = mask.shape
+    total = int(supply.sum())
+    pts, ctr = 4, 4 + np_
+    n_nodes = 4 + np_ + nc
+    pi, cj = np.nonzero(mask)
+    head = np.array([[SS, T, nc * lower], [S, TT, total], [T, S, total]])
+    edges = np.concatenate([
+        head[:1],
+        np.column_stack([np.full(np_, SS), pts + np.arange(np_), supply]),
+        head[1:],
+        np.column_stack([pts + pi, ctr + cj, supply[pi]]),
+        np.column_stack([
+            np.repeat(ctr + np.arange(nc), 2),
+            np.tile([TT, T], nc),
+            np.tile([lower, upper - lower], nc),
+        ]),
+    ])
+    edges = edges[edges[:, 2] != 0]
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(edges[:, 0], minlength=n_nodes), out=indptr[1:])
+    return csr_matrix(
+        (edges[:, 2].astype(np.int32), edges[:, 1].astype(np.int32), indptr),
+        shape=(n_nodes, n_nodes),
+    )
+
+
 def _route(mask: np.ndarray, supply: np.ndarray, lower: int, upper: int) -> np.ndarray | None:
     """Integral routing of supplies to centers along permitted edges.
 
@@ -397,30 +470,10 @@ def _route(mask: np.ndarray, supply: np.ndarray, lower: int, upper: int) -> np.n
             f"flow network exceeds int32: {total} units, {nc} centers, "
             f"loads {lower}..{upper}"
         )
-    SS, TT, S, T = 0, 1, 2, 3
-    pts = 4
-    ctr = 4 + np_
-    n_nodes = 4 + np_ + nc
-    cap = np.zeros((n_nodes, n_nodes), dtype=np.int32)
-    for i in range(np_):
-        cap[SS, pts + i] = supply[i]
-        row = mask[i]
-        for j in range(nc):
-            if row[j]:
-                cap[pts + i, ctr + j] = supply[i]
-    for j in range(nc):
-        cap[ctr + j, T] = upper - lower
-        if lower:
-            cap[ctr + j, TT] = lower
-    if lower:
-        cap[SS, T] = nc * lower
-    cap[T, S] = total
-    cap[S, TT] = total
-    res = maximum_flow(csr_matrix(cap), SS, TT)
+    res = maximum_flow(_flow_network(mask, supply, lower, upper), 0, 1)
     if res.flow_value != total + nc * lower:
         return None
-    flow = res.flow.toarray()
-    units = flow[pts : pts + np_, ctr : ctr + nc]
+    units = res.flow[4 : 4 + np_, 4 + np_ :].toarray()  # point rows x center columns
     return np.maximum(units, 0).astype(np.int64)
 
 
@@ -633,6 +686,46 @@ def anchored_feasible_radius(
     return r, _assignment_dicts(units)
 
 
+def _multisets(m: int, j: int) -> np.ndarray:
+    """Every j-multiset of range(m) as a sorted row, rows in the lexicographic
+    order of itertools.combinations_with_replacement."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(j):
+        start = rows[:, -1] if rows.shape[1] else np.zeros(len(rows), dtype=np.intp)
+        counts = m - start
+        parent = np.repeat(np.arange(len(rows)), counts)
+        step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], start[parent] + step])
+    return rows
+
+
+def _multiset_bounds(
+    dall: np.ndarray, mult: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unconstrained radius of every k-multiset of dall's columns, in
+    lexicographic multiset order.
+
+    Returns (r_lb, prefixes, offsets): the multisets extending prefix row p
+    by a last column >= the prefix's end occupy r_lb[offsets[p]:offsets[p+1]].
+    Chunks of prefixes are scored per numpy call as in _best_subset, so every
+    value is an element of dall and no per-multiset object is built.
+    """
+    n, m = dall.shape
+    cols = np.ascontiguousarray(dall.T)
+    pref = _multisets(m, k - 1)
+    ends = pref[:, -1] if k > 1 else np.zeros(len(pref), dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(m - ends)])
+    r_lb = np.empty(offsets[-1])
+    per_chunk, width = _chunk_sizes(n, m)
+    for p in range(0, len(pref), per_chunk):
+        chunk_ends = ends[p : p + per_chunk]
+        lo = int(chunk_ends.min())
+        vals = _extension_values(cols, pref[p : p + per_chunk], lo, width, mult, 0)
+        keep = np.arange(lo, m) >= chunk_ends[:, None]
+        r_lb[offsets[p] : offsets[p + len(chunk_ends)]] = vals[keep]
+    return r_lb, pref, offsets
+
+
 def exact_constrained(
     ps: PointSet,
     k: int,
@@ -675,20 +768,17 @@ def exact_constrained(
         )
     dall = pairwise_distances(ps.coords, positions)
     radii = np.unique(dall)
-
-    combos = []
-    for combo in itertools.combinations_with_replacement(range(m), k):
-        cols = list(combo)
-        r_lb = float(dall[:, cols].min(axis=1).max())
-        combos.append((r_lb, combo))
-    combos.sort(key=lambda t: t[0])
+    r_lb, pref, offsets = _multiset_bounds(dall, ps.multiplicity, k)
 
     best = math.inf
     best_combo: tuple[int, ...] | None = None
     best_units: np.ndarray | None = None
-    for r_lb, combo in combos:
-        if r_lb >= best:
+    for i in np.argsort(r_lb, kind="stable"):
+        if r_lb[i] >= best:
             break
+        p = int(np.searchsorted(offsets, i, side="right")) - 1
+        start = int(pref[p, -1]) if k > 1 else 0
+        combo = (*pref[p].tolist(), start + int(i - offsets[p]))
         found = _min_radius_fixed_anchors(
             ps, positions[list(combo)], constraint, radii, best
         )

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kcdr.geometry import (
+    DOUBLING_MAX_POINTS,
     DatasetSpec,
-    PointSet,
     build_epsilon_net,
-    dist_to_set,
     estimate_doubling_dimension,
     generate_dataset,
     pairwise_distances,
@@ -53,27 +52,6 @@ class TestPointSet:
             ps.coords[0, 0] = 5.0
 
 
-class TestDistToSet:
-    def test_identity_point(self):
-        assert dist_to_set([0.0], point_set([[0.0]])) == 0.0
-
-    def test_three_four_five(self):
-        c = point_set([[0.0, 0.0], [10.0, 0.0]])
-        assert dist_to_set([3.0, 4.0], c) == 5.0
-
-    def test_nearest_of_two(self):
-        assert dist_to_set([4.0], point_set([[0.0], [10.0]])) == 4.0
-
-    def test_empty_center_set(self):
-        empty = PointSet(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError, match="empty center set"):
-            dist_to_set([0.0], empty)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            dist_to_set([0.0, 1.0], point_set([[0.0]]))
-
-
 @given(coords_strategy)
 def test_triangle_inequality(rows):
     ps = point_set(rows)
@@ -107,8 +85,7 @@ class TestEpsilonNet:
     def test_covering_and_packing(self, rows, r):
         ps = point_set(rows)
         net = build_epsilon_net(ps, r)
-        for p in ps.coords:
-            assert dist_to_set(p, net) <= r
+        assert pairwise_distances(ps.coords, net.coords).min(axis=1).max() <= r
         d = pairwise_distances(net.coords)
         off = d[np.triu_indices(net.n, k=1)]
         if off.size:
@@ -132,6 +109,12 @@ class TestDoublingDimension:
     def test_degenerate_set(self):
         with pytest.raises(ValueError, match="degenerate set"):
             estimate_doubling_dimension(point_set([[1.0], [1.0]]))
+
+    def test_size_cap_is_a_domain_error(self):
+        # the estimate's m x m matrix must not end in a bare MemoryError
+        coords = np.arange(DOUBLING_MAX_POINTS + 1, dtype=float)[:, None]
+        with pytest.raises(ValueError, match="limited to"):
+            estimate_doubling_dimension(point_set(coords))
 
     def test_subset_estimate_within_slack(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 
 from kcdr.cli import main
-from kcdr.geometry import DatasetSpec, point_set, read_pointset_text, write_pointset_text
+from kcdr.geometry import (
+    DOUBLING_MAX_POINTS,
+    DatasetSpec,
+    point_set,
+    read_pointset_text,
+    write_pointset_text,
+)
 from kcdr.harness import (
     ExperimentConfig,
     ratio_of,
     run_dimred_sweep,
     run_lowerbound_demo,
-    run_solver_bench,
     run_streaming_demo,
     write_json,
     write_records_csv,
@@ -138,27 +143,6 @@ class TestStreamingDemo:
         assert rep["sample"]["point_in_stream"]
 
 
-class TestSolverBench:
-    def test_empty_batch(self):
-        rep = run_solver_bench(n_instances=0, seed=0)
-        assert rep["checks"] == {}
-        assert rep["violations"] == 0
-
-    def test_deterministic_modulo_timing(self):
-        a = run_solver_bench(n_instances=20, seed=3)
-        b = run_solver_bench(n_instances=20, seed=3)
-        a.pop("seconds"), b.pop("seconds")
-        assert a == b
-
-    def test_default_batch_clean(self):
-        rep = run_solver_bench(n_instances=200, seed=0)
-        assert rep["violations"] == 0
-        assert len(rep["checks"]) == 6
-        for c in rep["checks"].values():
-            assert c["fail"] == 0
-            assert c["pass"] == 200
-
-
 class TestReportFiles:
     def test_write_json_round_trip(self, tmp_path):
         path = tmp_path / "r.json"
@@ -239,6 +223,17 @@ class TestCliGenerateAndReduce:
         proj = read_pointset_text(str(out))
         assert proj.dim == payload["t"] < 16
         assert map_out.exists()
+
+    def test_reduce_doubling_size_cap_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "big.txt"
+        coords = np.arange(DOUBLING_MAX_POINTS + 1, dtype=float)[:, None]
+        write_pointset_text(point_set(coords), str(src))
+        code, _, err = run_cli(
+            capsys, "reduce", "--in", str(src), "--k", "2", "--variant", "doubling",
+            "--out", str(tmp_path / "out.txt"),
+        )
+        assert code == 2
+        assert "ValueError" in err and "limited to" in err
 
     def test_reduce_rejects_unit_alpha(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -441,14 +436,3 @@ class TestCliStream:
         payload = json.loads(stdout)
         assert payload["centers_in_stream"] is True
         assert payload["value_ratio"] >= 0.0
-
-    def test_bench_with_csv(self, capsys, tmp_path):
-        csv_path = tmp_path / "bench.csv"
-        code, stdout, _ = run_cli(
-            capsys, "bench", "--instances", "10", "--csv", str(csv_path),
-        )
-        assert code == 0
-        assert json.loads(stdout)["violations"] == 0
-        lines = csv_path.read_text().splitlines()
-        assert lines[1] == "check,pass,fail"
-        assert len(lines) == 2 + 6

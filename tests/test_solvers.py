@@ -306,3 +306,30 @@ class TestBatchedOraclesMatchEnumeration:
             multiplicity=rng.integers(1, 4, size=18),
         )
         _assert_oracles_match_reference(ps, 8, 2)
+
+
+class TestSingleCenterBlocks:
+    def test_k1_oracles_score_column_blocks(self, monkeypatch):
+        # k=1 passes the budget up to 10^6 locations, so the oracles must not
+        # build the n x m matrix; grid points make ties and repeats common.
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(25)))
+        ps = point_set(
+            rng.integers(0, 40, size=(2000, 2)).astype(float),
+            multiplicity=rng.integers(1, 3, size=2000),
+        )
+        want_kc = _ref_kcenter(ps, 1)
+        want_out = _ref_outliers(ps, 1, 3)
+        sizes = []
+
+        def recording(a, b=None):
+            out = pairwise_distances(a, b)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(solvers, "pairwise_distances", recording)
+        kc = exact_discrete_kcenter(ps, 1)
+        assert (kc.center_indices, kc.value) == want_kc
+        out = exact_discrete_outliers(ps, 1, 3)
+        assert (out.center_indices, out.outlier_indices, out.value) == want_out
+        assert len(sizes) > 2
+        assert max(sizes) <= max(solvers._BLOCK_ELEMS, ps.n)
